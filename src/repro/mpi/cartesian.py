@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .comm import CommCore, Intracomm
-from .constants import PROC_NULL
+from .frontend import CartTopology
 
 __all__ = ["Cartcomm", "compute_dims"]
 
@@ -39,8 +39,8 @@ def compute_dims(nnodes: int, ndims: int) -> list[int]:
     return sorted(dims, reverse=True)
 
 
-class Cartcomm(Intracomm):
-    """A communicator whose ranks are arranged on an N-dimensional grid."""
+class Cartcomm(CartTopology, Intracomm):
+    """A threads-backend communicator whose ranks are arranged on a grid."""
 
     def __init__(
         self,
@@ -52,80 +52,6 @@ class Cartcomm(Intracomm):
         super().__init__(core, rank)
         self._dims = tuple(int(d) for d in dims)
         self._periods = tuple(bool(p) for p in periods)
-
-    # ------------------------------------------------------------- topology info
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self._dims
-
-    @property
-    def periods(self) -> tuple[bool, ...]:
-        return self._periods
-
-    @property
-    def ndim(self) -> int:
-        return len(self._dims)
-
-    def Get_dim(self) -> int:
-        return len(self._dims)
-
-    def Get_topo(self) -> tuple[tuple[int, ...], tuple[bool, ...], tuple[int, ...]]:
-        """Return ``(dims, periods, my_coords)``."""
-        return self._dims, self._periods, self.Get_coords(self._rank)
-
-    def Get_coords(self, rank: int) -> tuple[int, ...]:
-        """Row-major coordinates of ``rank`` on the grid."""
-        if not 0 <= rank < self._core.size:
-            raise ValueError(f"rank {rank} outside cartesian communicator")
-        coords = []
-        for extent in reversed(self._dims):
-            coords.append(rank % extent)
-            rank //= extent
-        return tuple(reversed(coords))
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.Get_coords(self._rank)
-
-    def Get_cart_rank(self, coords: Sequence[int]) -> int:
-        """Rank at the given coordinates (periodic wrap where allowed)."""
-        if len(coords) != len(self._dims):
-            raise ValueError(
-                f"expected {len(self._dims)} coordinates, got {len(coords)}"
-            )
-        rank = 0
-        for c, extent, periodic in zip(coords, self._dims, self._periods):
-            if periodic:
-                c %= extent
-            elif not 0 <= c < extent:
-                raise ValueError(
-                    f"coordinate {c} outside non-periodic dimension of extent {extent}"
-                )
-            rank = rank * extent + c
-        return rank
-
-    def Shift(self, direction: int, disp: int = 1) -> tuple[int, int]:
-        """Return ``(source, dest)`` for a shift along one dimension.
-
-        At a non-periodic boundary the missing neighbor is ``PROC_NULL``,
-        so shift exchanges degrade gracefully at the edges — exactly the
-        behaviour the halo-exchange patternlet teaches.
-        """
-        if not 0 <= direction < len(self._dims):
-            raise ValueError(f"invalid shift direction {direction}")
-        me = list(self.Get_coords(self._rank))
-
-        def neighbor(offset: int) -> int:
-            coords = list(me)
-            coords[direction] += offset
-            extent = self._dims[direction]
-            if self._periods[direction]:
-                coords[direction] %= extent
-            elif not 0 <= coords[direction] < extent:
-                return PROC_NULL
-            return self.Get_cart_rank(coords)
-
-        return neighbor(-disp), neighbor(disp)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

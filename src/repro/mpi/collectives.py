@@ -1,10 +1,9 @@
 """Collective-communication algorithms.
 
-Every collective in :class:`repro.mpi.comm.Intracomm` is implemented here on
+Every collective in :class:`repro.mpi.frontend.Comm` is implemented here on
 top of internal point-to-point transfers in a dedicated *collective context*
-(a second mailbox set per communicator), exactly as real MPI libraries
-separate contexts so user ``ANY_TAG`` receives can never steal collective
-traffic.
+of each communicator, exactly as real MPI libraries separate contexts so
+user ``ANY_TAG`` receives can never steal collective traffic.
 
 Algorithms implemented (selectable via :mod:`repro.mpi.algorithms`):
 

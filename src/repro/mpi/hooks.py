@@ -27,8 +27,7 @@ nbytes
 ===============================  =============================================
 
 ``cid`` is the communicator context id (:attr:`CommCore.cid` on the
-threaded backend; process ranks use 0 — their COMM_WORLD is the only
-communicator with a user context).
+threaded backend; process ranks report 0 for every communicator).
 
 Observer protocol, ``attach``/``detach`` semantics, and the timestamped
 flavor are identical to :mod:`repro.openmp.hooks`.
@@ -102,7 +101,7 @@ def emit(event: str, *args: Any, ts: float | None = None) -> None:
 def traced_collective(fn: Callable[..., Any]) -> Callable[..., Any]:
     """Bracket a communicator collective with ``coll_enter``/``coll_exit``.
 
-    Decorates ``Intracomm``/``ProcComm`` methods; the communicator supplies
+    Decorates communicator methods; the communicator supplies
     its context id via ``_obs_cid`` and its rank via ``_rank``.  With no
     observer attached the wrapper is a single falsy branch over the
     undecorated call.

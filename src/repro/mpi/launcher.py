@@ -62,10 +62,12 @@ def mpirun(
     """Run an SPMD function across ``np`` ranks; return per-rank results.
 
     ``backend`` selects rank execution: ``"threads"`` (default — the full
-    in-process runtime: typed buffers, windows, splitting, tracing) or
-    ``"processes"`` (forked OS ranks with pipe transport for real
-    multicore speedup; core comm API only — see :mod:`repro.mpi.procs`).
-    ``None`` defers to the ``REPRO_MPI_BACKEND`` environment variable.
+    in-process runtime) or ``"processes"`` (forked OS ranks with pipe
+    transport for real multicore speedup).  Both run the same blocking
+    point-to-point verbs, collectives and Cartesian topologies; nonblocking
+    requests, ``probe``, ``ssend``, splitting, windows and files are
+    threads-only (see :mod:`repro.mpi.procs`).  ``None`` defers to the
+    ``REPRO_MPI_BACKEND`` environment variable.
     """
     if _resolve_mpi_backend(backend) == "processes":
         from .procs import run_procs

@@ -140,7 +140,7 @@ class BufferRecvRequest(Request):
         self._done = False
 
     def _complete(self, msg: Any, status: Status | None) -> None:
-        self._comm._fill_typed(self._spec, msg)
+        self._comm._fill(self._spec, self._comm._values(msg.payload))
         self._done = True
         if status is not None:
             status._set(msg.source, msg.tag, msg.nbytes)

@@ -51,7 +51,6 @@ __all__ = [
     "shm_threshold",
     "ship",
     "fetch",
-    "payload_nbytes",
 ]
 
 #: Receiver-side disposal modes for shared-segment handles.
@@ -271,9 +270,3 @@ def fetch(handle: BufferHandle, cache: SegmentCache) -> tuple[np.ndarray, str | 
         unlink_segment(seg)
     return values, None
 
-
-def payload_nbytes(handle: BufferHandle) -> int:
-    """Wire size of a handle's payload (for Status byte counts)."""
-    if handle.data is not None:
-        return len(handle.data)
-    return handle.count * np.dtype(handle.dtype).itemsize

@@ -40,6 +40,7 @@ from repro.mpi import (
 from repro.mpi import hooks as mpi_hooks
 from repro.mpi.algorithms import algorithm_cost, message_count
 from repro.testkit import fault_injection
+from tests.conftest import BACKENDS
 
 TIMEOUT = 30.0
 WORLD_SIZES = (2, 3, 5, 8)
@@ -48,17 +49,6 @@ SEEDS = (0, 1)
 #: Non-commutative reduction: string concatenation.  Rank order matters,
 #: so any algorithm that reorders the fold produces a scrambled string.
 CONCAT = Op(lambda a, b: a + b, name="concat", commute=False, elementwise=False)
-
-BACKENDS = [
-    pytest.param("threads", id="threads"),
-    pytest.param(
-        "procs",
-        id="procs",
-        marks=pytest.mark.skipif(
-            not fork_available(), reason="process ranks need the fork start method"
-        ),
-    ),
-]
 
 
 def _launch(backend, body, size, *args):

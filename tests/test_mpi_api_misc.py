@@ -118,3 +118,22 @@ class TestProcessorName:
             return helper()
 
         assert spmd(body, 3) == [3, 3, 3]
+
+
+class TestBatchLimit:
+    """``REPRO_MPI_BATCH_BYTES`` is read once for both backends."""
+
+    @pytest.mark.parametrize("default", [0, 1024])
+    @pytest.mark.parametrize(
+        "env,expected",
+        [(None, None), ("2048", 2048), ("0", 0), ("-5", 0), ("lots", None)],
+    )
+    def test_env_overrides_backend_default(self, monkeypatch, default, env, expected):
+        from repro.mpi.frontend import batch_limit
+
+        if env is None:
+            monkeypatch.delenv("REPRO_MPI_BATCH_BYTES", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_MPI_BATCH_BYTES", env)
+        # A malformed value falls back to the backend's own default.
+        assert batch_limit(default) == (default if expected is None else expected)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import MAX, MAXLOC, MIN, MINLOC, MPI, PROD, SUM, Op
-from tests.conftest import spmd
+from tests.conftest import BACKENDS, on_backends, spmd
 
 SIZES = [1, 2, 3, 4, 5, 7, 8]
 
@@ -46,14 +46,16 @@ class TestObjectCollectives:
         assert outs[0] == [f"ITEM-{i}" for i in range(size)]
         assert all(o is None for o in outs[1:])
 
-    def test_scatter_wrong_length_raises(self):
-        from repro.mpi import RankFailedError
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_scatter_wrong_length_raises(self, backend):
+        from repro.mpi import InvalidCountError, RankFailedError
 
         def body(comm):
             comm.scatter([1, 2, 3] if comm.Get_rank() == 0 else None, root=0)
 
-        with pytest.raises(RankFailedError):
-            spmd(body, 2)
+        with pytest.raises(RankFailedError) as exc_info:
+            spmd(body, 2, backend=backend, deadlock_timeout=2.0)
+        assert isinstance(exc_info.value.failures[0], InvalidCountError)
 
     @pytest.mark.parametrize("size", SIZES)
     def test_allgather(self, size):
@@ -64,13 +66,13 @@ class TestObjectCollectives:
         expected = [r * r for r in range(size)]
         assert all(o == expected for o in outs)
 
-    @pytest.mark.parametrize("size", SIZES)
-    def test_alltoall_transpose(self, size):
+    @pytest.mark.parametrize("size,backend", on_backends(SIZES))
+    def test_alltoall_transpose(self, size, backend):
         def body(comm):
             rank = comm.Get_rank()
             return comm.alltoall([(rank, j) for j in range(size)])
 
-        outs = spmd(body, size)
+        outs = spmd(body, size, backend=backend)
         for r, out in enumerate(outs):
             assert out == [(i, r) for i in range(size)]
 
@@ -129,20 +131,20 @@ class TestObjectCollectives:
         outs = spmd(body, 4)
         assert all(o == [0, 1, 2, 3] for o in outs)
 
-    @pytest.mark.parametrize("size", SIZES)
-    def test_scan_inclusive_prefix(self, size):
+    @pytest.mark.parametrize("size,backend", on_backends(SIZES))
+    def test_scan_inclusive_prefix(self, size, backend):
         def body(comm):
             return comm.scan(comm.Get_rank() + 1, op=SUM)
 
-        outs = spmd(body, size)
+        outs = spmd(body, size, backend=backend)
         assert outs == [sum(range(1, r + 2)) for r in range(size)]
 
-    @pytest.mark.parametrize("size", SIZES)
-    def test_exscan_exclusive_prefix(self, size):
+    @pytest.mark.parametrize("size,backend", on_backends(SIZES))
+    def test_exscan_exclusive_prefix(self, size, backend):
         def body(comm):
             return comm.exscan(comm.Get_rank() + 1, op=SUM)
 
-        outs = spmd(body, size)
+        outs = spmd(body, size, backend=backend)
         assert outs[0] is None
         assert outs[1:] == [sum(range(1, r + 1)) for r in range(1, size)]
 
@@ -225,8 +227,8 @@ class TestBufferCollectives:
         with pytest.raises(RankFailedError):
             spmd(body, 3)
 
-    @pytest.mark.parametrize("size", [2, 3, 4])
-    def test_Scatterv_Gatherv_variable_segments(self, size):
+    @pytest.mark.parametrize("size,backend", on_backends([2, 3, 4]))
+    def test_Scatterv_Gatherv_variable_segments(self, size, backend):
         counts = [i + 1 for i in range(size)]
         total = sum(counts)
 
@@ -243,7 +245,7 @@ class TestBufferCollectives:
             comm.Gatherv(recv * 2, [out, counts, None, MPI.DOUBLE] if rank == 0 else None, root=0)
             return out.sum() if rank == 0 else None
 
-        outs = spmd(body, size)
+        outs = spmd(body, size, backend=backend)
         assert outs[0] == 2 * sum(range(total))
 
     @pytest.mark.parametrize("size", [1, 2, 4, 5])
@@ -259,8 +261,8 @@ class TestBufferCollectives:
         expected = [float(r) for r in range(size) for _ in range(3)]
         assert all(o == expected for o in outs)
 
-    @pytest.mark.parametrize("size", [2, 4])
-    def test_Alltoall_typed(self, size):
+    @pytest.mark.parametrize("size,backend", on_backends([2, 4]))
+    def test_Alltoall_typed(self, size, backend):
         def body(comm):
             rank = comm.Get_rank()
             send = np.array(
@@ -270,7 +272,7 @@ class TestBufferCollectives:
             comm.Alltoall(send, recv)
             return recv.tolist()
 
-        outs = spmd(body, size)
+        outs = spmd(body, size, backend=backend)
         for r, out in enumerate(outs):
             assert out == [i * 10 + r for i in range(size)]
 

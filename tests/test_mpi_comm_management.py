@@ -4,7 +4,7 @@ import pytest
 
 from repro.mpi import SUM, Group, PROC_NULL, UNDEFINED
 from repro.mpi.cartesian import compute_dims
-from tests.conftest import spmd
+from tests.conftest import BACKENDS, spmd
 
 
 class TestSplit:
@@ -148,14 +148,17 @@ class TestComputeDims:
 
 
 class TestCartesian:
-    def test_coords_roundtrip_3x2(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_coords_roundtrip_3x2(self, backend):
         def body(comm):
             cart = comm.Create_cart((3, 2), periods=(False, False))
             coords = cart.Get_coords(cart.Get_rank())
             assert cart.Get_cart_rank(coords) == cart.Get_rank()
+            with pytest.raises(ValueError, match="non-periodic"):
+                cart.Get_cart_rank((3, 0))
             return coords
 
-        outs = spmd(body, 6)
+        outs = spmd(body, 6, backend=backend)
         assert outs == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
     def test_shift_nonperiodic_boundaries_are_proc_null(self):
@@ -177,12 +180,24 @@ class TestCartesian:
         assert outs[0] == (3, 1)
         assert outs[3] == (2, 0)
 
-    def test_excess_ranks_get_none(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "dims,np,expected",
+        [
+            pytest.param((2,), 4, [2, 2, None, None], id="2-of-4"),
+            pytest.param((1,), 2, [1, None], id="1-of-2"),
+        ],
+    )
+    def test_excess_ranks_get_none(self, dims, np, expected, backend):
         def body(comm):
-            cart = comm.Create_cart((2,), periods=(False,))
-            return None if cart is None else cart.Get_size()
+            cart = comm.Create_cart(dims, periods=(False,))
+            # A collective on the grid alone, then one on the parent: the
+            # grid's traffic must stay in its own context.
+            out = None if cart is None else cart.allreduce(1)
+            comm.barrier()
+            return out
 
-        assert spmd(body, 4) == [2, 2, None, None]
+        assert spmd(body, np, backend=backend) == expected
 
     def test_grid_too_large_raises(self):
         from repro.mpi import RankFailedError

@@ -15,7 +15,8 @@ from repro.mpi import (
     Status,
     TruncationError,
 )
-from tests.conftest import spmd
+from repro.mpi.shm import shm_threshold
+from tests.conftest import BACKENDS, spmd
 
 
 class TestBlockingSendRecv:
@@ -111,12 +112,24 @@ class TestBlockingSendRecv:
         with pytest.raises(RankFailedError):
             spmd(body, 1)
 
-    def test_tag_above_ub_raises(self):
-        def body(comm):
-            comm.send(1, dest=0, tag=MPI.TAG_UB + 1)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("verb", ["send", "recv", "Send", "Recv"])
+    def test_tag_above_ub_raises(self, verb, backend):
+        tag = MPI.TAG_UB + 1
 
-        with pytest.raises(RankFailedError):
-            spmd(body, 1)
+        def body(comm):
+            if verb == "send":
+                comm.send(1, dest=0, tag=tag)
+            elif verb == "recv":
+                comm.recv(source=0, tag=tag)
+            elif verb == "Send":
+                comm.Send(np.zeros(2), dest=0, tag=tag)
+            else:
+                comm.Recv(np.zeros(2), source=0, tag=tag)
+
+        with pytest.raises(RankFailedError) as exc_info:
+            spmd(body, 1, backend=backend)
+        assert isinstance(exc_info.value.failures[0], InvalidTagError)
 
 
 class TestNonblocking:
@@ -245,6 +258,42 @@ class TestBufferP2P:
             return float(buf[-1])
 
         assert spmd(body, 2)[1] == 49.0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("large", [False, True], ids=["inline", "shm"])
+    @pytest.mark.parametrize("verb", ["Send", "Bcast", "Allreduce"])
+    def test_buffer_value_semantics_no_aliasing(self, verb, large, backend):
+        """Overwriting a send buffer after the verb returns must not reach
+        receivers, for payloads below and above the shared-memory threshold."""
+        count = shm_threshold() // 8 + 8 if large else 8
+        before = np.arange(1.0, count + 1)
+
+        def body(comm):
+            rank = comm.Get_rank()
+            buf = before.copy()
+            out = np.zeros(count)
+            if verb == "Allreduce":
+                comm.Allreduce(buf, out)
+                buf[:] = -1.0
+                comm.Barrier()
+                return bool(np.array_equal(out, 2 * before))
+            if rank == 0:
+                if verb == "Send":
+                    comm.Send(buf, dest=1, tag=3)
+                else:
+                    comm.Bcast(buf, root=0, algorithm="linear")
+                buf[:] = -1.0
+                comm.send("overwritten", dest=1, tag=4)
+                return True
+            # Receive only once the sender has overwritten its buffer.
+            comm.recv(source=0, tag=4)
+            if verb == "Send":
+                comm.Recv(out, source=0, tag=3)
+            else:
+                comm.Bcast(out, root=0, algorithm="linear")
+            return bool(np.array_equal(out, before))
+
+        assert spmd(body, 2, backend=backend) == [True, True]
 
     def test_truncation_raises(self):
         def body(comm):

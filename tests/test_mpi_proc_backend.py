@@ -158,7 +158,7 @@ class TestCartesian:
             return (left, right, cart.Get_coords(cart.Get_rank()))
 
         out = _run(body, 3)
-        assert out == [(2, 1, [0]), (0, 2, [1]), (1, 0, [2])]
+        assert out == [(2, 1, (0,)), (0, 2, (1,)), (1, 0, (2,))]
 
     def test_halo_exchange_matches_thread_backend(self):
         import numpy as np
