@@ -52,7 +52,7 @@ import multiprocessing
 import pickle
 import queue as _queue_mod
 import time
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -63,6 +63,11 @@ from .constants import ANY_SOURCE, ANY_TAG, DEFAULT_DEADLOCK_TIMEOUT
 from .errors import DeadlockError, MPIError, RankFailedError
 from .frontend import CartTopology, Comm, batch_limit
 from .message import BufferHandle
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+
+    from ..testkit.faults import FaultPlan
 
 __all__ = ["ProcComm", "ProcCartcomm", "run_procs", "fork_available"]
 
@@ -113,7 +118,7 @@ class ProcComm(Comm):
         self._p2p: list[tuple[int, tuple[Any, int], Any]] = []
         self._coll: list[tuple[int, tuple[Any, int], Any]] = []
         #: Fault injector (``repro.testkit``); armed by ``_rank_main`` when
-        #: the forked child inherited an active plan.
+        #: ``run_procs`` found an active plan before forking.
         self._injector = None
         #: Per-destination coalescing buffers for small envelopes.
         self._batch_limit = batch_limit(DEFAULT_BATCH_BYTES)
@@ -360,12 +365,13 @@ def _rank_main(
     args: tuple,
     kwargs: dict,
     inboxes: list[Any],
-    results: Any,
+    results: Connection,
     hostname: str,
     deadlock_timeout: float | None,
+    fault_plan: "FaultPlan | None",
 ) -> None:
     # Re-home any fork-inherited recorder: events this rank emits are
-    # recorded locally and shipped back as the 4th result-tuple element
+    # recorded locally and shipped back as the 3rd result-tuple element
     # (they would otherwise land in a dead copy of the parent's buffer).
     from ..obs.recorder import adopt_forked_recorder, collect_forwarded
 
@@ -374,13 +380,12 @@ def _rank_main(
     # totals shipped back cover this rank's own traffic only.
     _serial.reset_serialized()
     comm = ProcComm(rank, size, inboxes, hostname, deadlock_timeout)
-    # A fault plan armed in the parent rides across fork as a module global
-    # (lazy import: testkit depends on this package, not vice versa).
-    from ..testkit.faults import FaultInjector, active_fault_plan
+    if fault_plan:
+        # The parent imported testkit to resolve the plan, so this names a
+        # module the fork already holds: rank start-up imports nothing.
+        from ..testkit.faults import FaultInjector
 
-    plan = active_fault_plan()
-    if plan:
-        comm._injector = FaultInjector(plan)
+        comm._injector = FaultInjector(fault_plan)
     try:
         value = fn(comm, *args, **kwargs)
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
@@ -393,8 +398,8 @@ def _rank_main(
             comm._finalize()
         except Exception:
             pass
-        results.put(
-            (rank, False, payload, collect_forwarded(rank_rec),
+        results.send(
+            (False, payload, collect_forwarded(rank_rec),
              _serial.serialized_totals())
         )
         return
@@ -405,10 +410,10 @@ def _rank_main(
     forwarded = collect_forwarded(rank_rec)
     totals = _serial.serialized_totals()
     try:
-        results.put((rank, True, value, forwarded, totals))
+        results.send((True, value, forwarded, totals))
     except Exception as exc:  # unpicklable rank result
-        results.put(
-            (rank, False, _RemoteRankError(f"unpicklable result: {exc}"),
+        results.send(
+            (False, _RemoteRankError(f"unpicklable result: {exc}"),
              forwarded, totals)
         )
 
@@ -436,11 +441,28 @@ def run_procs(
             "the process-rank launcher needs the 'fork' start method; "
             "this platform lacks it — use backend='threads'"
         )
+    # Resolved before the fork, so no rank pays for the import (lazy:
+    # testkit depends on this package, not vice versa).
+    from ..testkit.faults import active_fault_plan
+
+    fault_plan = active_fault_plan()
     ctx = multiprocessing.get_context("fork")
     inboxes = [ctx.Queue() for _ in range(np)]
-    results_q = ctx.Queue()
-    procs = [
-        ctx.Process(
+    from multiprocessing.connection import wait as _mp_wait
+
+    from ..obs.recorder import active as _obs_active
+    from ..obs.recorder import ingest_forwarded as _obs_ingest
+
+    # One result pipe per rank, made just before that rank's fork and
+    # closed in the parent right after, so only the rank holds its write
+    # end: a rank that dies gives end-of-file.  The send pickles on the
+    # spot, so an unpicklable result is reported rather than lost.
+    procs: list[Any] = []
+    readers: list[Connection] = []
+    launch_ts = time.monotonic()
+    for rank in range(np):
+        reader, writer = ctx.Pipe(duplex=False)
+        proc = ctx.Process(
             target=_rank_main,
             args=(
                 rank,
@@ -449,21 +471,18 @@ def run_procs(
                 args,
                 kwargs,
                 inboxes,
-                results_q,
+                writer,
                 hostname,
                 deadlock_timeout,
+                fault_plan,
             ),
             name=f"mpi-proc-rank-{rank}",
             daemon=True,
         )
-        for rank in range(np)
-    ]
-    from ..obs.recorder import active as _obs_active
-    from ..obs.recorder import ingest_forwarded as _obs_ingest
-
-    launch_ts = time.monotonic()
-    for p in procs:
-        p.start()
+        proc.start()
+        writer.close()
+        procs.append(proc)
+        readers.append(reader)
 
     # Drain results *before* joining: a child flushing a large result into a
     # full pipe would otherwise deadlock against a parent stuck in join().
@@ -479,30 +498,33 @@ def run_procs(
                 raise DeadlockError(
                     f"ranks {sorted(pending)} did not finish within {budget}s"
                 )
-            try:
-                rank, ok, payload, forwarded, serialized = results_q.get(
-                    timeout=min(remaining, 0.5)
-                )
+            # A rank's pipe turns readable with its result or at its death;
+            # the sentinel still fires if a process the rank forked keeps
+            # the write end open.
+            watched = {readers[r]: r for r in pending}
+            watched.update({procs[r].sentinel: r for r in pending})
+            dead: dict[int, BaseException] = {}
+            for rank in {watched[obj] for obj in _mp_wait(list(watched), remaining)}:
+                pending.discard(rank)
+                try:
+                    if not readers[rank].poll():
+                        raise EOFError
+                    ok, payload, forwarded, serialized = readers[rank].recv()
+                except EOFError:
+                    procs[rank].join(timeout=2.0)
+                    dead[rank] = _RemoteRankError(
+                        f"rank process exited with code {procs[rank].exitcode}"
+                    )
+                    continue
                 _serial.merge_serialized(serialized)
                 if forwarded is not None and _obs_active() is not None:
                     _obs_ingest(forwarded, launch_ts)
-            except _queue_mod.Empty:
-                if any(p.exitcode not in (None, 0) for p in procs):
-                    dead = [r for r, p in enumerate(procs) if p.exitcode not in (None, 0)]
-                    raise RankFailedError(
-                        {
-                            r: _RemoteRankError(
-                                f"rank process exited with code {procs[r].exitcode}"
-                            )
-                            for r in dead
-                        }
-                    )
-                continue
-            pending.discard(rank)
-            if ok:
-                results[rank] = payload
-            else:
-                failures[rank] = payload
+                if ok:
+                    results[rank] = payload
+                else:
+                    failures[rank] = payload
+            if dead:
+                raise RankFailedError(dead)
     finally:
         for p in procs:
             p.join(timeout=2.0)
@@ -510,7 +532,9 @@ def run_procs(
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=2.0)
-        for q in inboxes + [results_q]:
+        for reader in readers:
+            reader.close()
+        for q in inboxes:
             q.cancel_join_thread()
             q.close()
 

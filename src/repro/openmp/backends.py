@@ -17,9 +17,18 @@ Design points:
   :func:`functools.partial` over them).  A closure raises
   :class:`BackendUnavailable` with a pointed message rather than a bare
   ``PicklingError``.
-* **Persistent pool.**  The first process-backend loop forks the pool;
-  subsequent loops reuse it (grown on demand), so per-loop overhead is a
-  few pipe writes, not ``fork``+``exec``.
+* **Fork-once pipe pool.**  The first process-backend loop starts the
+  workers, each behind its own duplex pipe; later loops reuse them (grown
+  on demand, up to the usable cores), so per-chunk overhead is one pipe
+  write and one reply.  The parent pickles the chunk task once per call
+  and sends each batch to the first free worker, found by waiting on the
+  busy pipes and every worker's process sentinel together.
+* **Worker death.**  A worker that exits mid-call (or while idle) wakes
+  that wait through its sentinel: the call raises
+  :class:`BackendUnavailable` instead of hanging, every worker is retired,
+  and the next call starts fresh ones.  A chunk that *raises* is not a
+  death — the in-flight chunks are drained and the exception re-raised in
+  the parent, so the pool stays usable with no stale replies.
 * **Shared-memory arrays.**  :class:`SharedArray` wraps
   :mod:`multiprocessing.shared_memory` behind a picklable handle, so NumPy
   exemplars can let workers write results in place instead of shipping
@@ -33,14 +42,19 @@ import functools
 import multiprocessing
 import os
 import pickle
+import selectors
 import time
-from typing import Any, Callable, Sequence
+import traceback
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from .env import BACKENDS, get_config
+from .env import BACKENDS, get_config, num_procs
 from .reduction import Reduction, get_reduction
 from .scheduling import DynamicScheduler, static_block_ranges
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "BackendUnavailable",
@@ -69,13 +83,14 @@ def resolve_backend(backend: str | None) -> str:
 # ---------------------------------------------------------------------------
 # Persistent worker pool
 # ---------------------------------------------------------------------------
-# A ProcessPoolExecutor rather than multiprocessing.Pool: when a worker dies
-# mid-task (e.g. a payload that pickled fine in the parent but fails to
-# resolve in the worker), the executor raises BrokenProcessPool instead of
-# hanging on the lost task forever.
 
-_pool: Any = None
-_pool_size = 0
+_pool: "_PipePool | None" = None
+
+_WORKER_DIED = (
+    "a process-backend worker died while running a chunk task "
+    "(commonly: the kernel resolves to a name the worker cannot "
+    "import, e.g. one defined interactively after the pool started)"
+)
 
 
 def _mp_context():
@@ -89,31 +104,189 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
-def _get_pool(workers: int):
-    """The persistent pool, created on first use and grown on demand."""
-    global _pool, _pool_size
-    if _pool is None or _pool_size < workers:
-        if _pool is not None:
-            _pool.shutdown(wait=False, cancel_futures=True)
-        from concurrent.futures import ProcessPoolExecutor
+def _worker_main(conn: Connection, inherited: list[Connection]) -> None:
+    """Pool worker: run ``(task, lo, hi, traced)`` requests until told to stop.
 
-        _pool = ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context())
-        _pool_size = workers
+    Each request carries the chunk task pickled once by the parent; the
+    reply is ``(True, result)`` or ``(False, (exception, traceback text))``.
+    ``None`` or end-of-file on the pipe ends the worker.  Messages are plain
+    pickles: they carry no multiprocessing handles, so the per-message
+    set-up of ``Connection.send``'s reducing pickler buys nothing.
+    """
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            request = pickle.loads(conn.recv_bytes())
+        except (EOFError, OSError):
+            return
+        if request is None:
+            return
+        blob, lo, hi, traced = request
+        try:
+            task = pickle.loads(blob)
+            if traced:
+                from ..obs.recorder import run_traced_chunk
+
+                reply: tuple[bool, Any] = (True, run_traced_chunk(task, lo, hi))
+            else:
+                reply = (True, task(lo, hi))
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+            reply = (False, (exc, traceback.format_exc()))
+        try:
+            conn.send_bytes(pickle.dumps(reply))
+        except OSError:
+            return  # the parent closed this pipe: the pool was retired
+        except Exception as exc:  # unpicklable result or exception
+            failure = RuntimeError(f"chunk reply did not pickle: {exc!r}")
+            conn.send_bytes(pickle.dumps((False, (failure, traceback.format_exc()))))
+
+
+class _RemoteTraceback(Exception):
+    """The worker-side traceback, chained as a re-raised chunk error's cause."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class _PipePool:
+    """Forked-once workers, each behind its own duplex pipe.
+
+    The parent hands each chunk to whichever worker is free, found by one
+    selector that watches every worker's pipe and process sentinel, so a
+    worker that dies mid-chunk (or while idle) is noticed at once instead
+    of leaving the call waiting.  An idle worker's pipe only turns
+    readable at end-of-file, so readiness there is a death too.
+    """
+
+    def __init__(self) -> None:
+        self._ctx = _mp_context()
+        self.processes: list[Any] = []
+        self._conns: list[Connection] = []
+        self._selector = selectors.DefaultSelector()
+
+    def grow(self, size: int) -> None:
+        """Start workers until the pool has ``size`` of them."""
+        # A forked worker inherits every parent end open at fork time, its
+        # own included; it closes them, or no worker would see EOF when
+        # the parent closes its end.
+        fork = self._ctx.get_start_method() == "fork"
+        while len(self.processes) < size:
+            parent_end, child_end = self._ctx.Pipe(duplex=True)
+            proc = self._ctx.Process(
+                target=_worker_main,
+                args=(child_end, [*self._conns, parent_end] if fork else []),
+                name=f"repro-omp-worker-{len(self.processes)}",
+                daemon=True,
+            )
+            proc.start()
+            child_end.close()
+            self.processes.append(proc)
+            self._conns.append(parent_end)
+            self._selector.register(parent_end, selectors.EVENT_READ)
+            self._selector.register(proc.sentinel, selectors.EVENT_READ)
+
+    def run(
+        self,
+        blob: bytes,
+        ranges: Sequence[tuple[int, int]],
+        workers: int,
+        traced: bool,
+    ) -> list[Any]:
+        """Run the pickled task over every batch, in batch order.
+
+        At most ``workers`` workers take part, so a grown pool still honours
+        a smaller requested team.
+
+        A chunk that raises stops further dispatch; the chunks already in
+        flight are drained, so the pool holds no stale replies, and the
+        first exception is raised.  A dead worker raises
+        :class:`BackendUnavailable` and retires every worker; the next
+        :func:`_get_pool` forks fresh ones.
+        """
+        results: list[Any] = [None] * len(ranges)
+        idle = self._conns[:workers]
+        busy: dict[Connection, int] = {}
+        error: BaseException | None = None
+        next_ci = 0
+        try:
+            while busy or (next_ci < len(ranges) and error is None):
+                while idle and next_ci < len(ranges) and error is None:
+                    conn = idle.pop()
+                    lo, hi = ranges[next_ci]
+                    conn.send_bytes(pickle.dumps((blob, lo, hi, traced)))
+                    busy[conn] = next_ci
+                    next_ci += 1
+                ready = [key.fileobj for key, _ in self._selector.select()]
+                replied = [c for c in ready if c in busy]
+                for conn in replied:
+                    ok, value = pickle.loads(conn.recv_bytes())
+                    ci = busy.pop(conn)
+                    idle.append(conn)
+                    if ok:
+                        results[ci] = value
+                    elif error is None:
+                        error, remote_tb = value
+                        error.__cause__ = _RemoteTraceback(remote_tb)
+                if len(replied) < len(ready):  # a sentinel or an idle pipe's EOF
+                    raise BackendUnavailable(_WORKER_DIED)
+        except (EOFError, OSError) as exc:
+            self.shutdown(wait=False)
+            raise BackendUnavailable(_WORKER_DIED) from exc
+        except BaseException:
+            # Replies still in flight would reach the next call: retire
+            # these workers (the next call forks fresh ones).
+            self.shutdown(wait=False)
+            raise
+        if error is not None:
+            raise error
+        return results
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Ask every worker to exit; with ``wait``, join them (bounded)."""
+        for conn in self._conns:
+            try:
+                conn.send_bytes(pickle.dumps(None))
+            except OSError:
+                pass  # that worker is already gone
+            conn.close()
+        if wait:
+            for proc in self.processes:
+                proc.join(timeout=5.0)
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join(timeout=5.0)
+        self._selector.close()
+        self._selector = selectors.DefaultSelector()
+        self._conns = []
+        self.processes = []
+
+
+def _get_pool(workers: int) -> _PipePool:
+    """The persistent pool, created on first use and grown on demand.
+
+    Grown to at most :func:`num_procs` workers (the usable cores): extra
+    workers would only time-share them.  The chunk decomposition still
+    follows the requested count.
+    """
+    global _pool
+    if _pool is None:
+        _pool = _PipePool()
+    _pool.grow(min(workers, num_procs()))
     return _pool
 
 
 def pool_size() -> int:
     """Current size of the persistent worker pool (0 before first use)."""
-    return _pool_size if _pool is not None else 0
+    return len(_pool.processes) if _pool is not None else 0
 
 
 def shutdown_pool() -> None:
     """Tear down the persistent pool (tests; also registered atexit)."""
-    global _pool, _pool_size
+    global _pool
     if _pool is not None:
-        _pool.shutdown(wait=False, cancel_futures=True)
+        _pool.shutdown(wait=False)
         _pool = None
-        _pool_size = 0
 
 
 atexit.register(shutdown_pool)
@@ -176,9 +349,10 @@ def chunk_ranges(
 # Chunk execution
 # ---------------------------------------------------------------------------
 
-def _require_picklable(obj: Any, what: str) -> None:
+def _pickled(obj: Any, what: str) -> bytes:
+    """``pickle.dumps(obj)``, failing as :class:`BackendUnavailable`."""
     try:
-        pickle.dumps(obj)
+        return pickle.dumps(obj)
     except Exception as exc:
         raise BackendUnavailable(
             f"the process backend must pickle {what}, and {obj!r} is not "
@@ -215,40 +389,27 @@ def _process_run_chunks(
 ) -> list[Any]:
     """Process-backend chunk execution on the persistent pool.
 
-    One future per batch hands work to whichever worker frees up first —
-    the pool-side analogue of dynamic self-scheduling — while collecting
-    results by future keeps them in batch order.  A worker death surfaces
-    as :class:`BackendUnavailable` rather than a hang.
+    The kernel is pickled once per call (which is also its picklability
+    check) and each batch goes to whichever worker frees up first — the
+    pool-side analogue of dynamic self-scheduling — with results kept in
+    batch order.  A worker death surfaces as :class:`BackendUnavailable`
+    rather than a hang.
     """
-    from concurrent.futures.process import BrokenProcessPool
-
-    _require_picklable(kernel, "the chunk kernel")
+    blob = _pickled(kernel, "the chunk kernel")
     pool = _get_pool(workers)
     from ..obs import recorder as _obs
 
     tracing = _obs.active() is not None
-    task = (
-        functools.partial(_obs.run_traced_chunk, kernel) if tracing else kernel
-    )
     submit_ts = time.monotonic()
-    futures = [pool.submit(task, lo, hi) for lo, hi in ranges]
-    try:
-        if not tracing:
-            return [f.result() for f in futures]
-        results = []
-        for f in futures:
-            result, forwarded = f.result()
-            if forwarded is not None:
-                _obs.ingest_forwarded(forwarded, submit_ts)
-            results.append(result)
-        return results
-    except BrokenProcessPool as exc:
-        shutdown_pool()
-        raise BackendUnavailable(
-            "a process-backend worker died while running a chunk task "
-            "(commonly: the kernel resolves to a name the worker cannot "
-            "import, e.g. one defined interactively after the pool started)"
-        ) from exc
+    outcomes = pool.run(blob, ranges, workers, tracing)
+    if not tracing:
+        return outcomes
+    results = []
+    for result, forwarded in outcomes:
+        if forwarded is not None:
+            _obs.ingest_forwarded(forwarded, submit_ts)
+        results.append(result)
+    return results
 
 
 def run_chunks(
@@ -302,7 +463,7 @@ def process_parallel_for(
     red = get_reduction(reduction) if reduction is not None else None
     spec = reduction if (reduction is None or isinstance(reduction, str)) else reduction
     if spec is not None and not isinstance(spec, str):
-        _require_picklable(spec, "a custom Reduction")
+        _pickled(spec, "a custom Reduction")
     kernel = functools.partial(_index_chunk, body, spec)
     partials = _process_run_chunks(kernel, ranges, workers) if ranges else []
     if red is not None:

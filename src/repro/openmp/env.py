@@ -109,8 +109,15 @@ def get_max_threads() -> int:
 
 
 def num_procs() -> int:
-    """``omp_get_num_procs``: hardware parallelism of the host."""
-    return os.cpu_count() or 1
+    """``omp_get_num_procs``: processors this process may run on.
+
+    That is the affinity mask's size, as libgomp reports it, else the
+    host's CPU count on platforms without an affinity API.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def set_backend(name: str) -> None:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.mpi import (
@@ -57,6 +62,25 @@ class TestBasics:
             return secret["value"] + comm.Get_rank()
 
         assert _run(body, 2) == [77, 78]
+
+    def test_rank_startup_imports_nothing(self):
+        # A fresh interpreter, so no earlier test has imported on its behalf.
+        script = (
+            "import sys\n"
+            "from repro.mpi.procs import run_procs\n"
+            "def body(comm):\n"
+            "    return sorted(sys.modules)\n"
+            "out = run_procs(body, 2)\n"
+            "print(sorted(set().union(*out) - set(sys.modules)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestPointToPoint:
@@ -190,6 +214,22 @@ class TestFailures:
             return comm.Get_rank()
 
         with pytest.raises(RankFailedError, match="rank 1"):
+            _run(body, 2)
+
+    def test_unpicklable_result_raises_rank_failed(self):
+        def body(comm):
+            return lambda: comm.Get_rank()
+
+        with pytest.raises(RankFailedError, match="unpicklable result"):
+            _run(body, 2)
+
+    def test_rank_process_death_raises_rank_failed(self):
+        def body(comm):
+            if comm.Get_rank() == 1:
+                os._exit(3)
+            return comm.Get_rank()
+
+        with pytest.raises(RankFailedError, match="exited with code 3"):
             _run(body, 2)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import os
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from repro.openmp import (
     scoped,
     set_backend,
 )
-from repro.openmp import hooks
+from repro.openmp import backends, hooks
 from repro.openmp.env import _reset_for_testing
 
 BOTH_BACKENDS = pytest.mark.parametrize("backend", ["threads", "processes"])
@@ -50,6 +51,24 @@ def square(i: int) -> int:
 
 def write_chunk(shared: SharedArray, lo: int, hi: int) -> None:
     shared.array[lo:hi] = np.arange(lo, hi, dtype=shared.dtype)
+
+
+def fail_first_chunk(lo: int, hi: int) -> int:
+    """Raise on the first batch; keep the others in flight for a while."""
+    if lo == 0:
+        raise KeyError("chunk 0 failed")
+    time.sleep(0.2)
+    return hi - lo
+
+
+def chunk_pid(lo: int, hi: int) -> int:
+    return os.getpid()
+
+
+def exit_first_chunk(lo: int, hi: int) -> int:
+    if lo == 0:
+        os._exit(3)
+    return hi - lo
 
 
 # --- chunk decomposition ---------------------------------------------------
@@ -186,6 +205,66 @@ class TestProcessParallelFor:
             30, square, num_threads=2, reduction="max", backend="processes"
         )
         assert got == 29 * 29
+
+
+# --- the persistent pipe pool ----------------------------------------------
+
+class TestPipePool:
+    @pytest.fixture(autouse=True)
+    def _fresh_pool(self):
+        backends.shutdown_pool()
+        yield
+        backends.shutdown_pool()
+
+    @staticmethod
+    def _pids() -> list[int]:
+        return [proc.pid for proc in backends._pool.processes]
+
+    def test_chunk_exception_reraised_and_pool_stays_usable(self):
+        ranges = [(0, 10), (10, 20), (20, 30)]
+        run_chunks(chunk_len, ranges, workers=2, backend="processes")
+        pids = self._pids()
+        with pytest.raises(KeyError, match="chunk 0 failed") as info:
+            run_chunks(fail_first_chunk, ranges, workers=2, backend="processes")
+        assert "fail_first_chunk" in str(info.value.__cause__)
+        # The in-flight sleeper was drained: no stale reply shifts results.
+        assert run_chunks(chunk_sum, ranges, workers=2, backend="processes") == [
+            sum(range(lo, hi)) for lo, hi in ranges
+        ]
+        assert self._pids() == pids
+
+    def test_worker_death_raises_then_fresh_pool_works(self):
+        ranges = [(0, 5), (5, 10)]
+        run_chunks(chunk_len, ranges, workers=2, backend="processes")
+        pids = self._pids()
+        with pytest.raises(BackendUnavailable, match="worker died"):
+            run_chunks(exit_first_chunk, ranges, workers=2, backend="processes")
+        assert run_chunks(chunk_sum, ranges, workers=2, backend="processes") == [10, 35]
+        assert not set(self._pids()) & set(pids)
+
+    def test_shutdown_stops_every_worker(self):
+        run_chunks(chunk_len, [(0, 1), (1, 2)], workers=2, backend="processes")
+        procs = list(backends._pool.processes)
+        backends.shutdown_pool()
+        for proc in procs:
+            proc.join(timeout=10)
+        assert not any(proc.is_alive() for proc in procs)
+        assert backends.pool_size() == 0
+
+    def test_pool_capped_at_usable_cores(self):
+        cores = len(os.sched_getaffinity(0))
+        got = run_chunks(
+            chunk_len, chunk_ranges(40, cores + 2, "static"),
+            workers=cores + 2, backend="processes",
+        )
+        assert sum(got) == 40 and len(got) == cores + 2
+        assert backends.pool_size() == cores
+
+    def test_smaller_team_uses_fewer_workers(self):
+        run_chunks(chunk_len, [(0, 1), (1, 2)], workers=2, backend="processes")
+        ranges = chunk_ranges(16, 1, "dynamic", chunk=1)
+        pids = run_chunks(chunk_pid, ranges, workers=1, backend="processes")
+        assert len(set(pids)) == 1
 
 
 # --- shared-memory arrays --------------------------------------------------
