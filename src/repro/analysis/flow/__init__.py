@@ -8,8 +8,10 @@ The package layers four facilities the lint rules build on:
 * :mod:`.mhp` — may-happen-in-parallel guard facts (must/may-held locks,
   one-thread regions) for ``repro.openmp`` parallel bodies;
 * :mod:`.callgraph` — one-level effect summaries for helper functions;
-* :mod:`.protocol` — static MPI protocol checking by per-rank abstract
-  interpretation and trace matching.
+* :mod:`.interp` — the static per-rank interpreter shared by the MPI
+  protocol checker and the cost model;
+* :mod:`.protocol` — static MPI protocol checking by trace matching over
+  the interpreter's per-rank traces.
 """
 
 from .callgraph import CallGraph, Summary, build_callgraph

@@ -28,6 +28,8 @@ TRUE_POSITIVES = [
     # Flow-sensitivity flips: true positives the lexical rules missed.
     ("pdc101_tp_helper.py", "PDC101", 14, "error"),
     ("pdc103_tp_size_guard.py", "PDC103", 11, "error"),
+    # Derived communicators: the protocol checker follows Create_cart.
+    ("pdc103_tp_cart.py", "PDC103", 15, "error"),
     ("pdc104_tp_rank_alias.py", "PDC104", 12, "error"),
     ("pdc106_tp_early_return.py", "PDC106", 12, "warning"),
 ]

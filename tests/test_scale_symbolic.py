@@ -14,15 +14,14 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.flow.protocol import (
-    Ambiguous,
     extract_traces,
     simulate,
     spmd_roots,
 )
+from repro.analysis.scale.cost import analyze_cost
 from repro.analysis.scale.rankset import CROSS_CHECK_MAX, P_MIN
 from repro.analysis.scale.symbolic import (
     ABSTAIN_REASONS,
-    ambiguity_reason,
     check_protocol_symbolic,
 )
 
@@ -163,8 +162,56 @@ class TestLauncherPreconditions:
         assert not verdict.checked
 
 
+#: one small body per code the shared per-rank interpreter abstains with
+INTERPRETER_ABSTENTIONS = [
+    ("while-around-comm",
+     "def body(comm, flag):\n    while flag:\n        comm.barrier()\n"),
+    ("comm-in-handler",
+     "def body(comm):\n    try:\n        x = 1\n"
+     "    except ValueError:\n        comm.barrier()\n"),
+    ("unknown-branch-comm",
+     "def body(comm, flag):\n    if flag:\n        comm.barrier()\n"),
+    ("unknown-loop-comm",
+     "def body(comm, items):\n    for item in items:\n"
+     "        comm.barrier()\n"),
+    ("unresolved-endpoint",
+     "def body(comm, flag):\n    comm.send(1, dest=0, tag=flag)\n"),
+    ("comm-escapes",
+     "def body(comm):\n    print(comm)\n"),
+    ("comm-escapes",
+     "def body(comm):\n    sub = comm.Split(0)\n    sub.barrier()\n"),
+    ("comm-escapes",
+     "def outer(comm):\n    comm.barrier()\n"
+     "def helper(comm):\n    outer(comm)\n"
+     "def body(comm):\n    helper(comm)\n"),
+    ("unsupported-stmt",
+     "def body(comm):\n    match 1:\n        case 1:\n"
+     "            comm.barrier()\n"),
+    ("eval-budget",
+     "def body(comm):\n    for i in range(500):\n"
+     "        for j in range(500):\n            x = j\n"
+     "    comm.barrier()\n"),
+    ("recursion",
+     "def body(comm):\n    y = " + "-" * 1500 + "1\n    comm.barrier()\n"),
+]
+
+
 class TestAbstention:
     def test_while_around_comm_has_reason_code(self):
+        # ranks below 4 never leave the loop: unrolling hits its cap
+        source = (
+            "def body(comm):\n"
+            "    rank = comm.Get_rank()\n"
+            "    while rank < 4:\n"
+            "        comm.send(rank, dest=0, tag=1)\n"
+        )
+        tree = ast.parse(source)
+        [root] = spmd_roots(tree)
+        verdict = check_protocol_symbolic(root, tree)
+        assert not verdict.universal
+        assert verdict.reason == "while-around-comm"
+
+    def test_bounded_while_around_comm_is_unrolled(self):
         source = (
             "def body(comm):\n"
             "    rank = comm.Get_rank()\n"
@@ -175,8 +222,10 @@ class TestAbstention:
         tree = ast.parse(source)
         [root] = spmd_roots(tree)
         verdict = check_protocol_symbolic(root, tree)
-        assert not verdict.universal
-        assert verdict.reason in ABSTAIN_REASONS
+        assert verdict.universal
+        # nobody receives: every size leaves the sends unmatched
+        assert [(f.rule, f.line) for f in verdict.findings] == [("PDC112", 4)]
+        assert verdict.findings[0].details["sizes"] == verdict.checked
 
     def test_nonaffine_guard_abstains_but_still_simulates(self):
         # rank * rank falls outside the affine guard language: the
@@ -200,12 +249,15 @@ class TestAbstention:
         for code, meaning in ABSTAIN_REASONS.items():
             assert code and meaning
 
-    def test_ambiguity_reason_maps_known_messages(self):
-        assert ambiguity_reason(
-            Ambiguous("while loop around communication")
-        ) == "while-around-comm"
-        assert ambiguity_reason(
-            Ambiguous("totally novel failure")) in ABSTAIN_REASONS
+    @pytest.mark.parametrize("code,body", INTERPRETER_ABSTENTIONS,
+                             ids=[f"{code}-{i}" for i, (code, _) in
+                                  enumerate(INTERPRETER_ABSTENTIONS)])
+    def test_both_clients_abstain_with_the_interpreter_code(self, code, body):
+        tree = ast.parse(body)
+        [root] = spmd_roots(tree)
+        assert code in ABSTAIN_REASONS
+        assert check_protocol_symbolic(root, tree).reason == code
+        assert analyze_cost(root, tree, size=2).abstained == code
 
     def test_abstention_never_manufactures_findings(self):
         [(_, verdict, _)] = _verdicts(FIXTURES / "pdc110_tn.py")
